@@ -95,7 +95,7 @@ func Mine(db *txdb.DB, opts mining.Options) (*mining.Result, error) {
 
 	// Passes k >= 3: prefix join + subset pruning + hash-tree counting.
 	for k := 3; len(prev) >= 2 && (opts.MaxK == 0 || k <= opts.MaxK); k++ {
-		cands, potential, prunedSub := genNext(k, prev)
+		cands, potential, prunedSub := mining.GenNext(prev)
 		m.Work.Charge(int64(potential), mining.CostCandidateGen)
 		m.PrunedBySubset += int64(prunedSub)
 		if len(cands) == 0 {
@@ -138,13 +138,4 @@ func pairKey(a, b itemset.Item) uint64 { return uint64(a)<<32 | uint64(b) }
 
 func pairFromKey(key uint64) itemset.Itemset {
 	return itemset.Itemset{itemset.Item(key >> 32), itemset.Item(key & 0xffffffff)}
-}
-
-// genNext generates the candidate k-itemsets from the frequent
-// (k-1)-itemsets, using the packed-pair fast path for k=3.
-func genNext(k int, prev []itemset.Itemset) (cands []itemset.Itemset, potential, pruned int) {
-	if k == 3 {
-		return mining.Gen3(prev, mining.PairTableOf(prev))
-	}
-	return mining.AprioriGen(prev, itemset.SetOf(prev...))
 }

@@ -14,6 +14,7 @@ package cluster
 
 import (
 	"fmt"
+	"math"
 	"math/bits"
 	"sync"
 
@@ -39,38 +40,57 @@ func (p NetParams) MsgSec(bytes int64) float64 {
 
 // Clock is a node's simulated clock. It is safe for concurrent use (a
 // node's poll server and miner advance it from different goroutines).
+// It counts whole picosecond ticks, so concurrent advances commute: the
+// same charges in any order give the identical reading, which float
+// seconds (rounded after every addition) would not.
 type Clock struct {
-	mu  sync.Mutex
-	sec float64
+	mu    sync.Mutex
+	ticks int64
 }
+
+// ticksPerSec is the clock resolution. A work unit is a whole number of
+// ticks, so work charges convert exactly; message times round to the
+// nearest tick once per charge.
+const (
+	ticksPerSec  = 1_000_000_000_000
+	ticksPerUnit = ticksPerSec / mining.UnitsPerSecond
+)
+
+func toTicks(s float64) int64 { return int64(math.Round(s * ticksPerSec)) }
+
+func toSeconds(t int64) float64 { return float64(t) / ticksPerSec }
 
 // AdvanceWork advances the clock by the simulated duration of the given
 // cost-model work units.
-func (c *Clock) AdvanceWork(units int64) {
-	c.AdvanceSec(float64(units) / mining.UnitsPerSecond)
-}
+func (c *Clock) AdvanceWork(units int64) { c.advance(units * ticksPerUnit) }
 
 // AdvanceSec advances the clock by s simulated seconds.
-func (c *Clock) AdvanceSec(s float64) {
+func (c *Clock) AdvanceSec(s float64) { c.advance(toTicks(s)) }
+
+func (c *Clock) advance(t int64) {
 	c.mu.Lock()
-	c.sec += s
+	c.ticks += t
 	c.mu.Unlock()
 }
 
 // RaiseTo lifts the clock to at least s (barrier semantics).
-func (c *Clock) RaiseTo(s float64) {
+func (c *Clock) RaiseTo(s float64) { c.raise(toTicks(s)) }
+
+func (c *Clock) raise(t int64) {
 	c.mu.Lock()
-	if c.sec < s {
-		c.sec = s
+	if c.ticks < t {
+		c.ticks = t
 	}
 	c.mu.Unlock()
 }
 
 // Now returns the current simulated time.
-func (c *Clock) Now() float64 {
+func (c *Clock) Now() float64 { return toSeconds(c.read()) }
+
+func (c *Clock) read() int64 {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return c.sec
+	return c.ticks
 }
 
 // NodeStats tallies the traffic a node originates.
@@ -131,37 +151,44 @@ func (f *Fabric) Stats(i int) *NodeStats { return f.stats[i] }
 // traffic advance by the transfer cost, and the receiver's clock advances by
 // the same cost (receive-side processing).
 func (f *Fabric) ChargeSend(from, to int, bytes int64) {
-	t := f.net.MsgSec(bytes)
-	f.clocks[from].AdvanceSec(t)
-	f.clocks[to].AdvanceSec(t)
+	t := toTicks(f.net.MsgSec(bytes))
+	f.clocks[from].advance(t)
+	f.clocks[to].advance(t)
 	f.stats[from].add(1, bytes)
 }
 
 // Barrier raises every clock to the current maximum and returns it —
 // the synchronization point between parallel phases.
 func (f *Fabric) Barrier() float64 {
-	max := 0.0
+	max := f.maxTicks()
 	for _, c := range f.clocks {
-		if t := c.Now(); t > max {
-			max = t
-		}
+		c.raise(max)
 	}
-	for _, c := range f.clocks {
-		c.RaiseTo(max)
-	}
-	return max
+	return toSeconds(max)
 }
 
 // MaxClock returns the largest node clock — the total execution time of a
 // parallel run.
-func (f *Fabric) MaxClock() float64 {
-	max := 0.0
+func (f *Fabric) MaxClock() float64 { return toSeconds(f.maxTicks()) }
+
+func (f *Fabric) maxTicks() int64 {
+	max := int64(0)
 	for _, c := range f.clocks {
-		if t := c.Now(); t > max {
+		if t := c.read(); t > max {
 			max = t
 		}
 	}
 	return max
+}
+
+// advanceAll advances every clock by a collective's elapsed time and
+// returns that time as the clocks count it (to the nearest tick).
+func (f *Fabric) advanceAll(elapsed float64) float64 {
+	t := toTicks(elapsed)
+	for _, c := range f.clocks {
+		c.advance(t)
+	}
+	return toSeconds(t)
 }
 
 // CubeSteps returns the number of exchange-merge steps of the logical binary
@@ -199,10 +226,7 @@ func (f *Fabric) AllGather(perNodeBytes int64) float64 {
 			f.stats[i].add(1, blockBytes)
 		}
 	}
-	for _, c := range f.clocks {
-		c.AdvanceSec(elapsed)
-	}
-	return elapsed
+	return f.advanceAll(elapsed)
 }
 
 // AllReduce performs the cost accounting of a hypercube all-reduce of a
@@ -219,8 +243,5 @@ func (f *Fabric) AllReduce(vectorBytes int64) float64 {
 			f.stats[i].add(1, vectorBytes)
 		}
 	}
-	for _, c := range f.clocks {
-		c.AdvanceSec(elapsed)
-	}
-	return elapsed
+	return f.advanceAll(elapsed)
 }

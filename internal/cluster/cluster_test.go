@@ -2,6 +2,7 @@ package cluster
 
 import (
 	"math"
+	"math/rand"
 	"sync"
 	"testing"
 
@@ -70,6 +71,51 @@ func TestClockConcurrentAdvance(t *testing.T) {
 	c.RaiseTo(100)
 	if c.Now() != 100 {
 		t.Fatalf("RaiseTo = %g", c.Now())
+	}
+}
+
+// TestClockChargesCommute: a node's poll server and miner charge its
+// clock from different goroutines, so the reading must not depend on the
+// order the charges land in — the same message and work charges, applied
+// forwards, backwards, and concurrently, give one identical reading.
+func TestClockChargesCommute(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	var secs []float64
+	var units []int64
+	for i := 0; i < 2000; i++ {
+		secs = append(secs, FastEthernet.MsgSec(int64(rng.Intn(1<<20))))
+		units = append(units, int64(rng.Intn(1<<16)))
+	}
+	var fwd, rev, conc Clock
+	for i := range secs {
+		fwd.AdvanceSec(secs[i])
+		fwd.AdvanceWork(units[i])
+	}
+	for i := len(secs) - 1; i >= 0; i-- {
+		rev.AdvanceWork(units[i])
+		rev.AdvanceSec(secs[i])
+	}
+	var wg sync.WaitGroup
+	for w := 0; w < 4; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for i := w; i < len(secs); i += 4 {
+				conc.AdvanceSec(secs[i])
+				conc.AdvanceWork(units[i])
+			}
+		}(w)
+	}
+	wg.Wait()
+	if fwd.Now() != rev.Now() || fwd.Now() != conc.Now() {
+		t.Fatalf("order-dependent clock: forwards %v, backwards %v, concurrent %v", fwd.Now(), rev.Now(), conc.Now())
+	}
+	sum := 0.0
+	for i := range secs {
+		sum += secs[i] + float64(units[i])/mining.UnitsPerSecond
+	}
+	if math.Abs(fwd.Now()-sum) > 1e-9*sum {
+		t.Fatalf("clock %v drifted from the float sum %v", fwd.Now(), sum)
 	}
 }
 

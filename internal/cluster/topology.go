@@ -92,8 +92,5 @@ func (f *Fabric) AllGatherWith(t Topology, perNodeBytes int64) float64 {
 		}
 		f.stats[i].add(msgs, sent)
 	}
-	for _, c := range f.clocks {
-		c.AdvanceSec(elapsed)
-	}
-	return elapsed
+	return f.advanceAll(elapsed)
 }

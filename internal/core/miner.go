@@ -71,10 +71,10 @@ type localMiner struct {
 	// candidates are counted at more than one node).
 	notePair func(key uint64)
 
-	// accum2 holds every locally frequent 2-itemset found so far across
-	// partitions, packed for the specialized k=3 join. nil when MaxK < 3
-	// makes the join unreachable.
-	accum2 *mining.PairTable
+	// adj holds each item's locally frequent 2-itemsets as neighbour lists
+	// (mining.Adjacency) for the k=3 join; pass2 sets partition m's lists
+	// once. nil when MaxK < 3 makes the join unreachable.
+	adj [][]itemset.Item
 
 	// workers is the resolved intra-node worker bound; shards holds one
 	// scratch state per worker, reused across passes; genShards is the
@@ -190,7 +190,7 @@ func (lm *localMiner) run() {
 		}
 	}
 	if lm.opts.MaxK == 0 || lm.opts.MaxK >= 3 {
-		lm.accum2 = mining.NewPairTable(0)
+		lm.adj = make([][]itemset.Item, numItems)
 	}
 	lm.pairTab = mining.NewPairTable(0)
 
@@ -287,9 +287,9 @@ func (lm *localMiner) minePartition(part []itemset.Item, accum map[int]*itemset.
 		var cands []itemset.Itemset
 		var potential, prunedSub int
 		if k == 3 {
-			// Specialized join over packed pair keys; accum2 spans all
+			// Specialized join over neighbour lists; adj spans all
 			// partitions processed so far, as line 24's subset check needs.
-			cands, potential, prunedSub = mining.Gen3(prevM, lm.accum2)
+			cands, potential, prunedSub = mining.Gen3(prevM, lm.adj)
 		} else {
 			cands, potential, prunedSub = mining.AprioriGen(prevM, accum[k-1])
 		}
@@ -492,14 +492,14 @@ func (lm *localMiner) pass2(part []itemset.Item, work *txdb.Work, accum map[int]
 		if int(counts[i]) >= lm.minLocal {
 			set := lm.pairSet(key)
 			lm.emit(set, int(counts[i]))
-			if lm.accum2 != nil {
-				lm.accum2.AddPair(set[0], set[1])
-			}
 			frequent = append(frequent, set)
 		}
 	}
 	lm.keys = keys
 	itemset.Sort(frequent)
+	if lm.adj != nil {
+		lm.adj = mining.Adjacency(lm.adj, frequent)
+	}
 	lm.endPass(&probe, 2, len(keys))
 	if lm.onPass != nil {
 		lm.onPass()
@@ -785,20 +785,6 @@ func (lm *localMiner) accumFor(accum map[int]*itemset.Set, k int) *itemset.Set {
 		accum[k] = s
 	}
 	return s
-}
-
-// freqAbove returns the globally frequent items strictly greater than a.
-func (lm *localMiner) freqAbove(a itemset.Item) []itemset.Item {
-	lo, hi := 0, len(lm.freqItems)
-	for lo < hi {
-		mid := (lo + hi) / 2
-		if lm.freqItems[mid] <= a {
-			lo = mid + 1
-		} else {
-			hi = mid
-		}
-	}
-	return lm.freqItems[lo:]
 }
 
 func pairKey(a, b itemset.Item) uint64 { return uint64(a)<<32 | uint64(b) }

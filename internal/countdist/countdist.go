@@ -211,7 +211,7 @@ func Mine(db *txdb.DB, cfg Config, opts mining.Options) (*core.ParallelResult, e
 
 	// Passes k >= 3.
 	for k := 3; len(prev) >= 2 && (opts.MaxK == 0 || k <= opts.MaxK); k++ {
-		cands, potential, prunedSub := genNext(k, prev)
+		cands, potential, prunedSub := mining.GenNext(prev)
 		if len(cands) == 0 {
 			break
 		}
@@ -261,13 +261,4 @@ func Mine(db *txdb.DB, cfg Config, opts mining.Options) (*core.ParallelResult, e
 		itemset.Sort(prev)
 	}
 	return finish(nil)
-}
-
-// genNext generates the candidate k-itemsets from the frequent
-// (k-1)-itemsets, using the packed-pair fast path for k=3.
-func genNext(k int, prev []itemset.Itemset) (cands []itemset.Itemset, potential, pruned int) {
-	if k == 3 {
-		return mining.Gen3(prev, mining.PairTableOf(prev))
-	}
-	return mining.AprioriGen(prev, itemset.SetOf(prev...))
 }

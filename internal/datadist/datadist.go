@@ -196,7 +196,7 @@ func Mine(db *txdb.DB, cfg Config, opts mining.Options) (*core.ParallelResult, e
 
 	// Passes k >= 3.
 	for k := 3; len(prev) >= 2 && (opts.MaxK == 0 || k <= opts.MaxK); k++ {
-		cands, potential, prunedSub := genNext(k, prev)
+		cands, potential, prunedSub := mining.GenNext(prev)
 		if len(cands) == 0 {
 			break
 		}
@@ -242,13 +242,4 @@ func Mine(db *txdb.DB, cfg Config, opts mining.Options) (*core.ParallelResult, e
 		fabric.AllGather(int64((4*k + 8) * (len(prev)/n + 1)))
 	}
 	return finish(nil)
-}
-
-// genNext mirrors the candidate generation of the other Apriori-family
-// miners (packed-pair fast path for k=3).
-func genNext(k int, prev []itemset.Itemset) (cands []itemset.Itemset, potential, pruned int) {
-	if k == 3 {
-		return mining.Gen3(prev, mining.PairTableOf(prev))
-	}
-	return mining.AprioriGen(prev, itemset.SetOf(prev...))
 }

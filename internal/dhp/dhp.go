@@ -171,7 +171,7 @@ func Mine(db *txdb.DB, opts mining.Options) (*mining.Result, error) {
 	// Passes k >= 3: prefix join + subset pruning + bucket pruning + trees.
 	bucket := h3
 	for k := 3; len(prev) >= 2 && (opts.MaxK == 0 || k <= opts.MaxK); k++ {
-		cands, potential, prunedSub := genNext(k, prev)
+		cands, potential, prunedSub := mining.GenNext(prev)
 		m.Work.Charge(int64(potential), mining.CostCandidateGen)
 		m.PrunedBySubset += int64(prunedSub)
 		if bucket != nil {
@@ -314,13 +314,4 @@ func clearHits(m map[itemset.Item]int32) {
 	for k := range m {
 		delete(m, k)
 	}
-}
-
-// genNext generates the candidate k-itemsets from the frequent
-// (k-1)-itemsets, using the packed-pair fast path for k=3.
-func genNext(k int, prev []itemset.Itemset) (cands []itemset.Itemset, potential, pruned int) {
-	if k == 3 {
-		return mining.Gen3(prev, mining.PairTableOf(prev))
-	}
-	return mining.AprioriGen(prev, itemset.SetOf(prev...))
 }

@@ -14,8 +14,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"pmihp/internal/core"
-	"pmihp/internal/itemset"
 	"pmihp/internal/mining"
 	"pmihp/internal/obs"
 	"pmihp/internal/transport"
@@ -962,40 +960,10 @@ func (s *session) runAttempt() (*Result, []int, error) {
 		writeFrameDeadline(c, transport.MsgShutdown, nil, cfg.IOTimeout)
 	}
 
-	// ---- Merge, exactly as the in-process miner does. ----
-	if len(dones[0].GlobalCounts) != s.p.NumItems {
-		return nil, nil, fmt.Errorf("distmine: node 0 reported %d global item counts, want %d",
-			len(dones[0].GlobalCounts), s.p.NumItems)
+	res, err := assemble(s.parts, s.p, dones)
+	if err != nil {
+		return nil, nil, err
 	}
-	globalCounts := make([]int, s.p.NumItems)
-	for it, c := range dones[0].GlobalCounts {
-		globalCounts[it] = int(c)
-	}
-	_, _, f1Counted := core.FrequentItems(globalCounts, s.p.GlobalMin)
-	var all []itemset.Counted
-	for _, done := range dones {
-		all = append(all, done.Found...)
-	}
-	res := &Result{
-		Frequent: core.MergeFound(f1Counted, all),
-		Metrics:  mining.NewMetrics("distmine"),
-		Nodes:    make([]NodeStats, n),
-	}
-	busy := make([]float64, n)
-	for i, done := range dones {
-		busy[i] = done.BusySeconds
-		ns := NodeStats{Node: i, Docs: s.parts[i].Len(), Wire: done.Stats, PhaseSeconds: done.PhaseSeconds, BusySeconds: done.BusySeconds}
-		res.Nodes[i] = ns
-		res.Metrics.WireMessagesSent += ns.Wire.MessagesSent
-		res.Metrics.WireMessagesReceived += ns.Wire.MessagesReceived
-		res.Metrics.WireBytesSent += ns.Wire.BytesSent
-		res.Metrics.WireBytesReceived += ns.Wire.BytesReceived
-		res.Metrics.WireRetries += ns.Wire.Retries
-		for _, sec := range ns.PhaseSeconds {
-			res.Metrics.WireSeconds += sec
-		}
-	}
-	res.Imbalance = imbalanceRatio(busy)
 	if res.Imbalance > 0 {
 		cfg.Obs.SetFloatGauge("pass_imbalance_ratio", res.Imbalance)
 	}

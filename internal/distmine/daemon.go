@@ -387,16 +387,7 @@ func (d *Daemon) handleControl(conn net.Conn, hello transport.Hello) {
 		return
 	}
 
-	done := transport.NodeDone{
-		Node:         init.NodeID,
-		Found:        outcome.Found,
-		Stats:        x.Stats().Snapshot(),
-		PhaseSeconds: outcome.PhaseSeconds,
-		BusySeconds:  outcome.Miner.Work.Seconds() + outcome.Server.Work.Seconds(),
-	}
-	if init.NodeID == 0 {
-		done.GlobalCounts = u32Counts(outcome.GlobalCounts)
-	}
+	done := outcome.report(int(init.NodeID), x.Stats().Snapshot())
 	if err := write(transport.MsgNodeDone, transport.AppendNodeDone(nil, done), d.opt.WaitTimeout); err != nil {
 		d.opt.Logf("pmihp-node: session %x: sending done: %v", init.ClusterID, err)
 		return

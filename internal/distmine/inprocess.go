@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"sync"
 
+	"pmihp/internal/core"
 	"pmihp/internal/itemset"
 	"pmihp/internal/mining"
 	"pmihp/internal/transport"
@@ -17,7 +18,7 @@ type NodeStats struct {
 	Docs int
 	Wire transport.WireStatsSnapshot
 	// PhaseSeconds: [0] item-count exchange, [1] THT exchange,
-	// [2] candidate polling, [3] final frequent-list exchange.
+	// [2] candidate polling, [3] final barrier.
 	PhaseSeconds [4]float64
 	// BusySeconds is the node's deterministic modeled busy time (mining
 	// plus poll service, from the work-unit accounting).
@@ -88,33 +89,45 @@ func splitParts(db *txdb.DB, n int, p mining.Partitioner) []*txdb.DB {
 	return db.SplitChronological(n)
 }
 
-// assemble folds per-node outcomes into the cluster result. merged is
-// any node's Merged list (they are all identical).
-func assemble(parts []*txdb.DB, outcomes []*nodeOutcome, stats []transport.WireStatsSnapshot, merged []itemset.Counted) *Result {
-	res := &Result{
-		Frequent: merged,
-		Metrics:  mining.NewMetrics("distmine"),
-		Nodes:    make([]NodeStats, len(outcomes)),
+// assemble folds the nodes' terminal reports into the cluster result:
+// every node's globally frequent itemsets merged with F1 (from node 0's
+// global item counts), per-node stats, and cluster-wide wire totals. The
+// coordinator and MineInProcess both finish here.
+func assemble(parts []*txdb.DB, p NodeParams, dones []transport.NodeDone) (*Result, error) {
+	if len(dones[0].GlobalCounts) != p.NumItems {
+		return nil, fmt.Errorf("distmine: node 0 reported %d global item counts, want %d",
+			len(dones[0].GlobalCounts), p.NumItems)
 	}
-	busy := make([]float64, len(outcomes))
-	for i, o := range outcomes {
-		busy[i] = o.Miner.Work.Seconds() + o.Server.Work.Seconds()
-		ns := NodeStats{Node: i, Docs: parts[i].Len(), Wire: stats[i], PhaseSeconds: o.PhaseSeconds, BusySeconds: busy[i]}
+	globalCounts := make([]int, p.NumItems)
+	for it, c := range dones[0].GlobalCounts {
+		globalCounts[it] = int(c)
+	}
+	_, _, f1Counted := core.FrequentItems(globalCounts, p.GlobalMin)
+	var all []itemset.Counted
+	for _, done := range dones {
+		all = append(all, done.Found...)
+	}
+	res := &Result{
+		Frequent: core.MergeFound(f1Counted, all),
+		Metrics:  mining.NewMetrics("distmine"),
+		Nodes:    make([]NodeStats, len(dones)),
+	}
+	busy := make([]float64, len(dones))
+	for i, done := range dones {
+		busy[i] = done.BusySeconds
+		ns := NodeStats{Node: i, Docs: parts[i].Len(), Wire: done.Stats, PhaseSeconds: done.PhaseSeconds, BusySeconds: done.BusySeconds}
 		res.Nodes[i] = ns
-		res.Metrics.Merge(&o.Miner)
-		res.Metrics.Merge(&o.Server)
 		res.Metrics.WireMessagesSent += ns.Wire.MessagesSent
 		res.Metrics.WireMessagesReceived += ns.Wire.MessagesReceived
 		res.Metrics.WireBytesSent += ns.Wire.BytesSent
 		res.Metrics.WireBytesReceived += ns.Wire.BytesReceived
 		res.Metrics.WireRetries += ns.Wire.Retries
-		for _, s := range o.PhaseSeconds {
-			res.Metrics.WireSeconds += s
+		for _, sec := range ns.PhaseSeconds {
+			res.Metrics.WireSeconds += sec
 		}
 	}
 	res.Imbalance = imbalanceRatio(busy)
-	res.Metrics.Algorithm = "distmine"
-	return res
+	return res, nil
 }
 
 // MineInProcess runs the distributed node protocol on n in-process
@@ -146,9 +159,17 @@ func MineInProcess(db *txdb.DB, n int, opts mining.Options) (*Result, error) {
 			return nil, fmt.Errorf("distmine: node %d: %w", i, err)
 		}
 	}
-	stats := make([]transport.WireStatsSnapshot, n)
-	for i := range stats {
-		stats[i] = exchanges[i].Stats().Snapshot()
+	dones := make([]transport.NodeDone, n)
+	for i, o := range outcomes {
+		dones[i] = o.report(i, exchanges[i].Stats().Snapshot())
 	}
-	return assemble(parts, outcomes, stats, outcomes[0].Merged), nil
+	res, err := assemble(parts, p, dones)
+	if err != nil {
+		return nil, err
+	}
+	for _, o := range outcomes {
+		res.Metrics.Merge(&o.Miner)
+		res.Metrics.Merge(&o.Server)
+	}
+	return res, nil
 }

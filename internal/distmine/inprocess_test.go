@@ -1,13 +1,16 @@
 package distmine
 
 import (
+	"bytes"
 	"fmt"
 	"testing"
 
 	"pmihp/internal/core"
 	"pmihp/internal/corpus"
 	"pmihp/internal/mining"
+	"pmihp/internal/obs"
 	"pmihp/internal/text"
+	"pmihp/internal/transport"
 	"pmihp/internal/txdb"
 )
 
@@ -84,5 +87,60 @@ func TestInProcessWireStatsAccounted(t *testing.T) {
 	}
 	if len(res.Nodes) != 4 {
 		t.Fatalf("node stats: %d", len(res.Nodes))
+	}
+}
+
+// TestFinalCollectiveIsBarrier pins the runtime's final collective as a
+// barrier: with the frequent lists assembled once from the nodes' reports
+// instead of all-gathered, each node's exchange:final span moves a few
+// dozen bytes at most, and the assembled result is still byte-identical
+// to the simulator's.
+func TestFinalCollectiveIsBarrier(t *testing.T) {
+	db := buildDB(t, corpus.CorpusB(corpus.Small))
+	opts := mining.Options{MinSupCount: 2, MaxK: 3}
+	for _, n := range []int{2, 4} {
+		t.Run(fmt.Sprintf("n=%d", n), func(t *testing.T) {
+			rec := obs.New(obs.Config{Keep: true})
+			traced := opts
+			traced.Obs = rec
+			got, err := MineInProcess(db, n, traced)
+			if err != nil {
+				t.Fatal(err)
+			}
+			ref := pmihpRef(t, db, n, opts)
+			want := transport.AppendCountedList(nil, ref[0].Frequent)
+			if !bytes.Equal(transport.AppendCountedList(nil, got.Frequent), want) {
+				t.Fatal("frequent list not byte-identical to core.MinePMIHP")
+			}
+			final := map[int]int64{}
+			var pollBytes int64
+			for _, ev := range rec.Events() {
+				if ev.Type != obs.TypeSpan {
+					continue
+				}
+				switch ev.Span.Name {
+				case "exchange:final":
+					final[ev.Span.Node] = ev.Span.Bytes
+				case "poll:resolve":
+					pollBytes += ev.Span.Bytes
+				}
+			}
+			if len(final) != n {
+				t.Fatalf("%d nodes recorded exchange:final, want %d", len(final), n)
+			}
+			for node, b := range final {
+				if b <= 0 || b > 64 {
+					t.Errorf("node %d: exchange:final moved %d bytes, want a barrier's few dozen", node, b)
+				}
+			}
+			// The frequent lists are far larger than the bound, so a
+			// regression to all-gathering them cannot pass unnoticed.
+			if size := int64(len(want)); size <= 64*int64(n) {
+				t.Fatalf("frequent list is only %d bytes; the bound proves nothing", size)
+			}
+			if pollBytes == 0 {
+				t.Fatal("no poll traffic recorded")
+			}
+		})
 	}
 }

@@ -3,16 +3,19 @@
 // same algorithm that runs in-process with simulated clocks also runs
 // across OS processes over real TCP connections.
 //
-// The protocol a node executes is exactly the phase sequence of
-// core.MinePMIHP — pass-1 THT build, item-count exchange, THT exchange,
-// local mining with candidate polling, final frequent-list exchange —
-// with the in-process fabric replaced by the exchange. Global counting
-// runs deferred: every locally frequent itemset is queued during mining
-// and resolved by peer polls afterwards. In exact mode that ordering is
-// invisible in the output — polls have no feedback into local mining,
-// exact counts sum identically in any order, and the merge is a
-// deterministic sort — which is why the distributed runtime produces
-// frequent itemsets byte-identical to the in-process miner.
+// The protocol a node executes is the phase sequence of core.MinePMIHP —
+// pass-1 THT build, item-count exchange, THT exchange, local mining with
+// candidate polling — with the in-process fabric replaced by the
+// exchange. The paper's final all-gather of the frequent lists becomes a
+// barrier: every node reports its globally frequent itemsets once, and
+// the coordinator (or MineInProcess) merges them; the simulator still
+// models the paper's exchange. Global counting runs deferred: every
+// locally frequent itemset is queued during mining and resolved by peer
+// polls afterwards. In exact mode that ordering is invisible in the
+// output — polls have no feedback into local mining, exact counts sum
+// identically in any order, and the merge is a deterministic sort — which
+// is why the distributed runtime produces frequent itemsets byte-identical
+// to the in-process miner.
 package distmine
 
 import (
@@ -78,12 +81,8 @@ type nodeOutcome struct {
 	// Found is this node's globally frequent itemsets (k >= 2), with
 	// exact global counts.
 	Found []itemset.Counted
-	// Merged is the cluster-wide frequent list (F1 included) assembled
-	// from the final all-gather — the full mining result, available at
-	// every node as the paper's protocol provides.
-	Merged []itemset.Counted
 	// PhaseSeconds is measured wall clock: [0] item-count exchange,
-	// [1] THT exchange, [2] candidate polling, [3] final exchange.
+	// [1] THT exchange, [2] candidate polling, [3] final barrier.
 	PhaseSeconds [4]float64
 	// Miner and Server are the node's mining and poll-service accounting.
 	Miner, Server mining.Metrics
@@ -122,16 +121,17 @@ func runNode(x transport.Exchange, db *txdb.DB, p NodeParams, h nodeHooks) (*nod
 	// Observability spans reuse the exact PhaseSeconds measurements (one
 	// clock read pair per collective, same as before), so trace replays
 	// reconcile with Metrics.WireSeconds instead of drifting by an
-	// independent clock. Wire bytes attribute by stats delta around the
-	// collective.
+	// independent clock. Wire bytes attribute by the node's own traffic
+	// across the collective: peers' polls answered meanwhile (they
+	// overlap the final barrier) are the poll service's, not the span's.
 	rec := h.obs
-	wireMark := func() transport.WireStatsSnapshot {
+	wireMark := func() int64 {
 		if rec.Enabled() {
-			return x.Stats().Snapshot()
+			return x.Stats().OwnBytes()
 		}
-		return transport.WireStatsSnapshot{}
+		return 0
 	}
-	span := func(name string, seconds float64, before transport.WireStatsSnapshot, err error) {
+	span := func(name string, seconds float64, before int64, err error) {
 		if !rec.Enabled() {
 			return
 		}
@@ -139,7 +139,7 @@ func runNode(x transport.Exchange, db *txdb.DB, p NodeParams, h nodeHooks) (*nod
 			Name:    name,
 			Node:    self,
 			Seconds: seconds,
-			Bytes:   x.Stats().Snapshot().Delta(before).TotalBytes(),
+			Bytes:   x.Stats().OwnBytes() - before,
 		}
 		if err != nil {
 			ev.Err = err.Error()
@@ -203,7 +203,7 @@ func runNode(x transport.Exchange, db *txdb.DB, p NodeParams, h nodeHooks) (*nod
 		}
 	}
 	out.GlobalCounts = globalCounts
-	freq, f1, f1Counted := core.FrequentItems(globalCounts, p.GlobalMin)
+	freq, f1, _ := core.FrequentItems(globalCounts, p.GlobalMin)
 
 	// ---- Poll service. Installed before the THT exchange: a peer can
 	// only poll after completing that collective, which transitively
@@ -313,30 +313,39 @@ func runNode(x transport.Exchange, db *txdb.DB, p NodeParams, h nodeHooks) (*nod
 	}
 	out.Found = found
 
-	// ---- Final exchange: every node gathers the cluster's frequent
-	// lists. Exiting this collective additionally proves every peer has
-	// finished polling, so the poll service can be torn down safely. ----
+	// ---- Final collective: a barrier. Exiting it proves every peer has
+	// finished polling, so the poll service can be torn down safely. The
+	// frequent lists travel once, to whoever assembles the result (the
+	// coordinator, or MineInProcess), instead of to every node. ----
 	finalMark := wireMark()
 	t3 := time.Now()
-	finalBlobs, err := x.AllGather(transport.PhaseFinal, transport.AppendCountedList(nil, found))
+	_, err = x.AllGather(transport.PhaseFinal, []byte{1})
 	out.PhaseSeconds[3] = time.Since(t3).Seconds()
 	span("exchange:final", out.PhaseSeconds[3], finalMark, err)
 	if err != nil {
-		return nil, fmt.Errorf("final exchange: %w", err)
+		return nil, fmt.Errorf("final barrier: %w", err)
 	}
-	var all []itemset.Counted
-	for i, b := range finalBlobs {
-		list, err := transport.DecodeCountedList(b)
-		if err != nil {
-			return nil, fmt.Errorf("frequent list from node %d: %w", i, err)
-		}
-		all = append(all, list...)
-	}
-	out.Merged = core.MergeFound(f1Counted, all)
 	if rec.Enabled() {
 		rec.SetNodeGauge("peak_held_bytes", self, out.Miner.PeakHeldBytes+out.Server.PeakHeldBytes)
 	}
 	return out, nil
+}
+
+// report is the node's terminal report — what a daemon sends its
+// coordinator, and what MineInProcess assembles from. Only node 0
+// carries the global item counts.
+func (o *nodeOutcome) report(node int, stats transport.WireStatsSnapshot) transport.NodeDone {
+	done := transport.NodeDone{
+		Node:         int32(node),
+		Found:        o.Found,
+		Stats:        stats,
+		PhaseSeconds: o.PhaseSeconds,
+		BusySeconds:  o.Miner.Work.Seconds() + o.Server.Work.Seconds(),
+	}
+	if node == 0 {
+		done.GlobalCounts = u32Counts(o.GlobalCounts)
+	}
+	return done
 }
 
 // u32Counts converts the summed global item counts into their wire

@@ -192,14 +192,17 @@ func TestFaultInjection(t *testing.T) {
 			wantErr: []string{"node 1"},
 		},
 		{
-			// A wedged worker: alive at the TCP level, but its heartbeats
-			// (and eventually its report) silently vanish. Detection is by
+			// A wedged worker: alive at the TCP level, but its report and
+			// every heartbeat after it silently vanish. Detection is by
 			// heartbeat timeout; recovery must still be byte-identical.
+			// The wedge starts at the terminal report, which every session
+			// sends, rather than at the first heartbeat, which a session
+			// shorter than the heartbeat interval never sends.
 			name:  "dropped-heartbeats-4node",
 			nodes: 4,
 			plan: FaultPlan{Faults: []Fault{{
 				Observe: 2, Target: 2, Action: ActDropHeartbeats,
-				Trigger: Trigger{Purpose: transport.PurposeControl, MsgType: transport.MsgHeartbeat, Dir: DirFromWorker, Count: 1},
+				Trigger: Trigger{Purpose: transport.PurposeControl, MsgType: transport.MsgNodeDone, Dir: DirFromWorker, Count: 1},
 			}}},
 			policy:     distmine.FailurePolicyReassign,
 			wantLog:    []string{"no heartbeat"},

@@ -49,48 +49,76 @@ func AprioriGen(prev []itemset.Itemset, prevSet *itemset.Set) (cands []itemset.I
 	return cands, potential, pruned
 }
 
-// PairTableOf packs the given 2-itemsets into a PairTable, the membership
-// structure behind the k=3 join.
-func PairTableOf(prev []itemset.Itemset) *PairTable {
-	t := NewPairTable(len(prev))
-	for _, p := range prev {
-		t.AddPair(p[0], p[1])
+// Adjacency sets adj[a] to the ascending neighbour list N+(a) = {b : {a,b}
+// in prev} for every first item a of the sorted 2-itemsets prev, growing
+// adj as needed, and returns it. The lists share one backing array and are
+// never modified afterwards, so MIHP extends one adj partition by partition.
+func Adjacency(adj [][]itemset.Item, prev []itemset.Itemset) [][]itemset.Item {
+	if len(prev) == 0 {
+		return adj
 	}
-	return t
+	if top := int(prev[len(prev)-1][0]) + 1; top > len(adj) {
+		adj = append(adj, make([][]itemset.Item, top-len(adj))...)
+	}
+	seconds, lo := make([]itemset.Item, len(prev)), 0
+	for i, p := range prev {
+		seconds[i] = p[1]
+		if i+1 == len(prev) || prev[i+1][0] != p[0] {
+			adj[p[0]], lo = seconds[lo:i+1:i+1], i+1
+		}
+	}
+	return adj
 }
 
-// Gen3 is AprioriGen specialized to k=3: prev holds frequent 2-itemsets in
-// lexicographic order, all2 the membership table of every frequent
-// 2-itemset usable for subset pruning (a superset of prev for MIHP, where
-// pairs from already-processed partitions participate). It avoids the
-// generic path's string-key subset checks — and, via the flat PairTable
-// and arena-backed candidates, Go-map probe and per-candidate allocation
-// overhead — which dominate real runtime at text-database F2 sizes.
-func Gen3(prev []itemset.Itemset, all2 *PairTable) (cands []itemset.Itemset, potential, pruned int) {
-	var arena Arena
+// GenNext is the candidate generation of the miners that prune against
+// prev itself (Apriori, Count and Data Distribution, DHP).
+func GenNext(prev []itemset.Itemset) (cands []itemset.Itemset, potential, pruned int) {
+	if len(prev) > 0 && len(prev[0]) == 2 {
+		return Gen3(prev, Adjacency(nil, prev))
+	}
+	return AprioriGen(prev, itemset.SetOf(prev...))
+}
+
+// Gen3 is AprioriGen specialized to k=3. adj holds the neighbour lists of
+// prev and of any further frequent 2-itemsets that subset pruning may use
+// (MIHP's already-processed partitions), so adj[a] is a's prefix-group
+// tail, and {a,b,c} survives exactly where the tail after b meets N+(b):
+// one sorted merge per (a,b) replaces a membership probe per candidate.
+// Candidates, their order, and the counts equal AprioriGen's.
+func Gen3(prev []itemset.Itemset, adj [][]itemset.Item) (cands []itemset.Itemset, potential, pruned int) {
+	// Survivors pack into one pointer-free array, sliced into candidates
+	// at the end: growing it costs no write barriers or GC scanning.
+	var flat []itemset.Item
 	for lo := 0; lo < len(prev); {
-		hi := lo + 1
 		a := prev[lo][0]
-		for hi < len(prev) && prev[hi][0] == a {
-			hi++
-		}
-		for i := lo; i < hi; i++ {
-			b := prev[i][1]
-			for j := i + 1; j < hi; j++ {
-				c := prev[j][1]
-				potential++
-				if all2.HasPair(b, c) {
-					cand := arena.Alloc(3)
-					cand[0], cand[1], cand[2] = a, b, c
-					cands = append(cands, cand)
-				} else {
-					pruned++
+		tail := adj[a]
+		lo += len(tail)
+		for i, b := range tail {
+			rest := tail[i+1:]
+			potential += len(rest)
+			if int(b) >= len(adj) {
+				continue
+			}
+			nb := adj[b]
+			// Which list advances is unpredictable, so the steps are
+			// computed, not branched on: item ids are far below 2^63, so
+			// the 64-bit difference d-c wraps to its top bit exactly when
+			// c > d.
+			for x, y := 0, 0; x < len(rest) && y < len(nb); {
+				c, d := uint64(rest[x]), uint64(nb[y])
+				if c == d {
+					flat = append(flat, a, b, rest[x])
 				}
+				x += 1 - int((d-c)>>63) // c <= d
+				y += 1 - int((c-d)>>63) // d <= c
 			}
 		}
-		lo = hi
 	}
-	return cands, potential, pruned
+	cands = make([]itemset.Itemset, len(flat)/3)
+	for i := range cands {
+		cands[i] = flat[3*i : 3*i+3 : 3*i+3]
+	}
+	return cands, potential, potential - len(cands)
 }
 
 // samePrefix reports whether a and b (same length) agree on all but the

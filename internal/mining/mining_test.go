@@ -2,6 +2,7 @@ package mining
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 
 	"pmihp/internal/itemset"
@@ -126,38 +127,152 @@ func TestAprioriGenMatchesNaive(t *testing.T) {
 	}
 }
 
-// TestGen3MatchesAprioriGen: the packed-pair specialization must equal the
-// generic generator when the pair set equals the prev set.
-func TestGen3MatchesAprioriGen(t *testing.T) {
+// gen3Case is one k=3 join input in the MIHP shape: prev holds the
+// frequent pairs whose first item lies in the current partition [lo, hi);
+// done holds those of the already-processed partitions (first item >= hi),
+// which join pruning consults but which never join themselves.
+type gen3Case struct {
+	name      string
+	prev      []itemset.Itemset
+	done      []itemset.Itemset
+	wantLong  bool // some tail is >= 8x longer than the N+(b) it meets
+	wantShort bool // some N+(b) is >= 8x longer than the tail it meets
+}
+
+func pairsOf(edges map[[2]uint32]bool, keep func(a uint32) bool) []itemset.Itemset {
+	var out []itemset.Itemset
+	for e := range edges {
+		if keep(e[0]) {
+			out = append(out, itemset.New(e[0], e[1]))
+		}
+	}
+	itemset.Sort(out)
+	return out
+}
+
+func gen3Cases() []gen3Case {
+	var cases []gen3Case
 	rng := rand.New(rand.NewSource(23))
 	for trial := 0; trial < 40; trial++ {
-		prevSet := itemset.NewSet()
-		all2 := NewPairTable(0)
-		var prev []itemset.Itemset
-		for len(prev) < 50 {
-			a, b := uint32(rng.Intn(15)), uint32(rng.Intn(15))
-			if a == b {
-				continue
-			}
-			is := itemset.New(a, b)
-			if !prevSet.Has(is) {
-				prevSet.Add(is)
-				all2.AddPair(is[0], is[1])
-				prev = append(prev, is)
+		universe := 10 + rng.Intn(30)
+		hi := uint32(2 + rng.Intn(universe-2))
+		density := 0.1 + 0.8*rng.Float64()
+		edges := map[[2]uint32]bool{}
+		for a := 0; a < universe; a++ {
+			for b := a + 1; b < universe; b++ {
+				if rng.Float64() < density {
+					edges[[2]uint32{uint32(a), uint32(b)}] = true
+				}
 			}
 		}
-		itemset.Sort(prev)
-		got, gp, gpr := Gen3(prev, all2)
-		want, wp, wpr := AprioriGen(prev, prevSet)
-		if len(got) != len(want) || gp != wp || gpr != wpr {
-			t.Fatalf("trial %d: Gen3 %d/%d/%d vs AprioriGen %d/%d/%d",
-				trial, len(got), gp, gpr, len(want), wp, wpr)
+		cases = append(cases, gen3Case{
+			name: "random",
+			prev: pairsOf(edges, func(a uint32) bool { return a < hi }),
+			done: pairsOf(edges, func(a uint32) bool { return a >= hi }),
+		})
+	}
+	// A hub: item 0 pairs with 1..300, so its tail runs far past the two
+	// neighbours of each b (long tail, short N+(b)); and item 301 pairs
+	// with 302..303 only, while 302 (processed) pairs with 303..700
+	// (short tail, long N+(b)).
+	skew := map[[2]uint32]bool{}
+	for b := uint32(1); b <= 300; b++ {
+		skew[[2]uint32{0, b}] = true
+		skew[[2]uint32{b, b + 1}] = true
+		skew[[2]uint32{b, b + 7}] = true
+	}
+	skew[[2]uint32{301, 302}] = true
+	skew[[2]uint32{301, 303}] = true
+	for c := uint32(303); c <= 700; c++ {
+		skew[[2]uint32{302, c}] = true
+	}
+	cases = append(cases, gen3Case{
+		name:      "skewed",
+		prev:      pairsOf(skew, func(a uint32) bool { return a == 0 || a == 301 }),
+		done:      pairsOf(skew, func(a uint32) bool { return a != 0 && a != 301 }),
+		wantLong:  true,
+		wantShort: true,
+	})
+	return cases
+}
+
+// TestGen3MatchesAprioriGen: the neighbour-list join must equal the generic
+// generator — candidates, their order, potential and pruned counts — in the
+// MIHP shape, where the adjacency (and AprioriGen's prevSet) also holds the
+// pairs of already-processed partitions, which are absent from prev.
+func TestGen3MatchesAprioriGen(t *testing.T) {
+	for i, tc := range gen3Cases() {
+		prevSet := itemset.SetOf(tc.prev...)
+		for _, p := range tc.done {
+			prevSet.Add(p)
 		}
-		ws := itemset.SetOf(want...)
-		for _, c := range got {
-			if !ws.Has(c) {
-				t.Fatalf("trial %d: Gen3 extra %v", trial, c)
+		// Processed partitions first, as MIHP runs them; the current
+		// partition's lists must leave the earlier ones untouched.
+		adj := Adjacency(nil, tc.done)
+		before := map[itemset.Item][]itemset.Item{}
+		for it, l := range adj {
+			if len(l) > 0 {
+				before[itemset.Item(it)] = append([]itemset.Item(nil), l...)
 			}
+		}
+		adj = Adjacency(adj, tc.prev)
+		for it, l := range before {
+			if !slices.Equal(adj[it], l) {
+				t.Fatalf("case %d (%s): extending adj rewrote N+(%d)", i, tc.name, it)
+			}
+		}
+
+		var long, short bool
+		for _, p := range tc.prev {
+			tail := 0
+			for _, q := range tc.prev {
+				if q[0] == p[0] && q[1] > p[1] {
+					tail++
+				}
+			}
+			var nb int
+			if int(p[1]) < len(adj) {
+				nb = len(adj[p[1]])
+			}
+			long = long || (nb > 0 && tail >= 8*nb)
+			short = short || (tail > 0 && nb >= 8*tail)
+		}
+		if tc.wantLong && !long || tc.wantShort && !short {
+			t.Fatalf("case %d (%s): skew not exercised (long %v, short %v)", i, tc.name, long, short)
+		}
+
+		got, gp, gpr := Gen3(tc.prev, adj)
+		want, wp, wpr := AprioriGen(tc.prev, prevSet)
+		if gp != wp || gpr != wpr || len(got) != len(want) {
+			t.Fatalf("case %d (%s): Gen3 %d/%d/%d vs AprioriGen %d/%d/%d",
+				i, tc.name, len(got), gp, gpr, len(want), wp, wpr)
+		}
+		for j := range got {
+			if !slices.Equal(got[j], want[j]) {
+				t.Fatalf("case %d (%s): candidate %d is %v, AprioriGen has %v", i, tc.name, j, got[j], want[j])
+			}
+		}
+	}
+}
+
+// TestGenNextMatchesAprioriGen: the single-set dispatcher agrees with the
+// generic generator at k=3 (via Gen3) and beyond.
+func TestGenNextMatchesAprioriGen(t *testing.T) {
+	for _, tc := range gen3Cases() {
+		prev := tc.prev
+		for k := 3; len(prev) > 0 && k <= 5; k++ {
+			got, gp, gpr := GenNext(prev)
+			want, wp, wpr := AprioriGen(prev, itemset.SetOf(prev...))
+			if gp != wp || gpr != wpr || len(got) != len(want) {
+				t.Fatalf("%s k=%d: GenNext %d/%d/%d vs AprioriGen %d/%d/%d",
+					tc.name, k, len(got), gp, gpr, len(want), wp, wpr)
+			}
+			for j := range got {
+				if !slices.Equal(got[j], want[j]) {
+					t.Fatalf("%s k=%d: candidate %d is %v, want %v", tc.name, k, j, got[j], want[j])
+				}
+			}
+			prev = got
 		}
 	}
 }

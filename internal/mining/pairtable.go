@@ -86,17 +86,6 @@ func (t *PairTable) Get(key uint64) (int32, bool) {
 	}
 }
 
-// AddPair inserts the pair (a < b assumed) as a membership entry.
-func (t *PairTable) AddPair(a, b itemset.Item) {
-	t.Put(uint64(a)<<32|uint64(b), 0)
-}
-
-// HasPair reports membership of the pair (a < b assumed).
-func (t *PairTable) HasPair(a, b itemset.Item) bool {
-	_, ok := t.Get(uint64(a)<<32 | uint64(b))
-	return ok
-}
-
 // Reset empties the table, keeping its capacity.
 func (t *PairTable) Reset() {
 	if t.n == 0 {

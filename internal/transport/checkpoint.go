@@ -160,10 +160,12 @@ func DecodeCheckpoint(b []byte) (Checkpoint, error) {
 	return c, r.done()
 }
 
-// WriteCheckpointFile atomically persists the checkpoint: write to a
-// temporary file in the same directory, then rename over the target, so
-// a crash mid-write never leaves a truncated checkpoint behind. The
-// target directory is created if missing.
+// WriteCheckpointFile durably and atomically persists the checkpoint:
+// write and fsync a temporary file in the same directory, rename it over
+// the target, then fsync the directory so the rename itself survives a
+// power loss. A crash at any instant leaves either the old checkpoint or
+// the new one, never a truncated file, and a failed write leaves no
+// temporary file behind. The target directory is created if missing.
 func WriteCheckpointFile(path string, c Checkpoint) error {
 	dir := filepath.Dir(path)
 	if err := os.MkdirAll(dir, 0o755); err != nil {
@@ -178,11 +180,23 @@ func WriteCheckpointFile(path string, c Checkpoint) error {
 		tmp.Close()
 		return fmt.Errorf("transport: writing checkpoint: %w", err)
 	}
+	if err := tmp.Sync(); err != nil {
+		tmp.Close()
+		return fmt.Errorf("transport: syncing checkpoint: %w", err)
+	}
 	if err := tmp.Close(); err != nil {
 		return fmt.Errorf("transport: closing checkpoint: %w", err)
 	}
 	if err := os.Rename(tmp.Name(), path); err != nil {
 		return fmt.Errorf("transport: installing checkpoint: %w", err)
+	}
+	d, err := os.Open(dir)
+	if err == nil {
+		err = d.Sync()
+		d.Close()
+	}
+	if err != nil {
+		return fmt.Errorf("transport: syncing checkpoint dir %s: %w", dir, err)
 	}
 	return nil
 }

@@ -2,6 +2,7 @@ package transport
 
 import (
 	"fmt"
+	"os"
 	"path/filepath"
 	"reflect"
 	"strings"
@@ -140,5 +141,31 @@ func TestCheckpointFileRoundTrip(t *testing.T) {
 	}
 	if _, err := ReadCheckpointFile(filepath.Join(t.TempDir(), "missing.ckpt")); err == nil {
 		t.Fatal("want error reading a missing checkpoint")
+	}
+}
+
+// TestCheckpointFileInstallFailure: when the rename cannot install the
+// checkpoint (here the target is a non-empty directory), the writer
+// reports which step failed on which path, and leaves no temporary file
+// in the directory.
+func TestCheckpointFileInstallFailure(t *testing.T) {
+	dir := t.TempDir()
+	path := filepath.Join(dir, "session.ckpt")
+	if err := os.MkdirAll(filepath.Join(path, "occupied"), 0o755); err != nil {
+		t.Fatal(err)
+	}
+	err := WriteCheckpointFile(path, sampleCheckpoint(StageTHT))
+	if err == nil {
+		t.Fatal("installing over a non-empty directory succeeded")
+	}
+	if msg := err.Error(); !strings.Contains(msg, "installing checkpoint") || !strings.Contains(msg, path) {
+		t.Fatalf("error %q does not name the install step and the target", msg)
+	}
+	left, err := filepath.Glob(filepath.Join(dir, ".ckpt-*"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(left) != 0 {
+		t.Fatalf("temporary files left behind: %v", left)
 	}
 }

@@ -122,7 +122,7 @@ type NodeDone struct {
 	Found        []itemset.Counted
 	Stats        WireStatsSnapshot
 	// PhaseSeconds: [0] item-count exchange, [1] THT exchange,
-	// [2] candidate polling, [3] final frequent-list exchange.
+	// [2] candidate polling, [3] final barrier.
 	PhaseSeconds [4]float64
 	// BusySeconds is the node's deterministic modeled busy time (mining
 	// plus poll service, from the work-unit accounting) — what the
@@ -241,8 +241,8 @@ func AppendCountVector(b []byte, m CountVector) []byte {
 	return b
 }
 
-// AppendCountedList encodes a frequent-itemset list (the merged-F_k
-// payload of the final exchange and of NodeDone).
+// AppendCountedList encodes a frequent-itemset list (the found itemsets
+// a node reports in NodeDone).
 func AppendCountedList(b []byte, list []itemset.Counted) []byte {
 	b = appendU32(b, uint32(len(list)))
 	for _, c := range list {
@@ -515,8 +515,7 @@ func (r *wireReader) countedList() []itemset.Counted {
 	return list
 }
 
-// DecodeCountedList decodes a frequent-itemset list payload (the final
-// all-gather blob).
+// DecodeCountedList decodes a standalone frequent-itemset list payload.
 func DecodeCountedList(b []byte) ([]itemset.Counted, error) {
 	r := wireReader{b: b}
 	list := r.countedList()

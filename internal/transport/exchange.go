@@ -18,7 +18,8 @@ const (
 	PhaseItemCounts Phase = 1
 	// PhaseTHT is the exchange of local TID-hash-table segments.
 	PhaseTHT Phase = 2
-	// PhaseFinal is the final exchange of globally frequent itemsets.
+	// PhaseFinal is the final barrier: exiting it proves every peer has
+	// finished polling.
 	PhaseFinal Phase = 3
 	// PhaseResume is the barrier a resumed session runs before polling.
 	// A resume skips the collectives its checkpoint covers, and with
@@ -199,7 +200,7 @@ func (e *ChanExchange) Poll(peer, k int, sets []itemset.Itemset) ([]int32, error
 	repBytes := int64(frameHeaderLen + 4 + 4*len(counts))
 	e.stats.AddSent(1, reqBytes)
 	e.stats.AddRecv(1, repBytes)
-	p.stats.AddRecv(1, reqBytes)
-	p.stats.AddSent(1, repBytes)
+	p.stats.ServedRecv(1, reqBytes)
+	p.stats.ServedSent(1, repBytes)
 	return counts, nil
 }

@@ -545,10 +545,11 @@ func (x *TCPExchange) Poll(peer, k int, sets []itemset.Itemset) ([]int32, error)
 func (x *TCPExchange) servePollConn(conn net.Conn) {
 	for {
 		conn.SetReadDeadline(time.Now().Add(x.opt.WaitTimeout))
-		t, payload, err := ReadFrame(conn, &x.stats)
+		t, payload, err := ReadFrame(conn, nil)
 		if err != nil {
 			return
 		}
+		x.stats.ServedRecv(1, int64(frameHeaderLen+len(payload)))
 		if t != MsgCandidateBatch {
 			WriteFrame(conn, MsgError, AppendError(nil, ErrorMsg{Text: fmt.Sprintf("unexpected message type %d on poll channel", t)}), &x.stats)
 			return
@@ -569,9 +570,11 @@ func (x *TCPExchange) servePollConn(conn net.Conn) {
 		x.servePollMu.Lock()
 		counts := h(int(cb.K), sets)
 		x.servePollMu.Unlock()
+		reply := AppendCountVector(nil, CountVector{Counts: counts})
 		conn.SetWriteDeadline(time.Now().Add(x.opt.IOTimeout))
-		if err := WriteFrame(conn, MsgCountVector, AppendCountVector(nil, CountVector{Counts: counts}), &x.stats); err != nil {
+		if err := WriteFrame(conn, MsgCountVector, reply, nil); err != nil {
 			return
 		}
+		x.stats.ServedSent(1, int64(frameHeaderLen+len(reply)))
 	}
 }

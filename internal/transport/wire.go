@@ -83,14 +83,19 @@ const (
 
 // WireStats accumulates a node's real traffic counters. All methods are
 // safe for concurrent use; collectives, poll clients, and accept
-// handlers all feed the same instance.
+// handlers all feed the same instance. The poll service's traffic —
+// requests answered for peers — counts apart from the node's own, so
+// OwnBytes can measure one of the node's operations while peers poll
+// it; Snapshot folds both into the totals.
 type WireStats struct {
-	msgsSent  atomic.Int64
-	msgsRecv  atomic.Int64
-	bytesSent atomic.Int64
-	bytesRecv atomic.Int64
-	retries   atomic.Int64
+	own, served wireCounts
+	retries     atomic.Int64
 }
+
+type wireCounts struct{ msgsSent, msgsRecv, bytesSent, bytesRecv atomic.Int64 }
+
+func (c *wireCounts) sent(n int, b int64) { c.msgsSent.Add(int64(n)); c.bytesSent.Add(b) }
+func (c *wireCounts) recv(n int, b int64) { c.msgsRecv.Add(int64(n)); c.bytesRecv.Add(b) }
 
 // WireStatsSnapshot is a point-in-time copy of WireStats, and the form
 // stats take on the wire (inside NodeDone) and in summaries.
@@ -103,27 +108,30 @@ type WireStatsSnapshot struct {
 }
 
 // AddSent records n originated messages totalling b wire bytes.
-func (s *WireStats) AddSent(n int, b int64) {
-	s.msgsSent.Add(int64(n))
-	s.bytesSent.Add(b)
-}
+func (s *WireStats) AddSent(n int, b int64) { s.own.sent(n, b) }
 
 // AddRecv records n received messages totalling b wire bytes.
-func (s *WireStats) AddRecv(n int, b int64) {
-	s.msgsRecv.Add(int64(n))
-	s.bytesRecv.Add(b)
-}
+func (s *WireStats) AddRecv(n int, b int64) { s.own.recv(n, b) }
+
+// ServedRecv and ServedSent record the poll service's requests and
+// replies.
+func (s *WireStats) ServedRecv(n int, b int64) { s.served.recv(n, b) }
+func (s *WireStats) ServedSent(n int, b int64) { s.served.sent(n, b) }
 
 // AddRetry records a retried operation.
 func (s *WireStats) AddRetry() { s.retries.Add(1) }
 
-// Snapshot returns the current totals.
+// OwnBytes returns the bytes sent plus received by the node's own
+// operations, leaving out the poll service's.
+func (s *WireStats) OwnBytes() int64 { return s.own.bytesSent.Load() + s.own.bytesRecv.Load() }
+
+// Snapshot returns the current totals, poll service included.
 func (s *WireStats) Snapshot() WireStatsSnapshot {
 	return WireStatsSnapshot{
-		MessagesSent:     s.msgsSent.Load(),
-		MessagesReceived: s.msgsRecv.Load(),
-		BytesSent:        s.bytesSent.Load(),
-		BytesReceived:    s.bytesRecv.Load(),
+		MessagesSent:     s.own.msgsSent.Load() + s.served.msgsSent.Load(),
+		MessagesReceived: s.own.msgsRecv.Load() + s.served.msgsRecv.Load(),
+		BytesSent:        s.own.bytesSent.Load() + s.served.bytesSent.Load(),
+		BytesReceived:    s.own.bytesRecv.Load() + s.served.bytesRecv.Load(),
 		Retries:          s.retries.Load(),
 	}
 }
@@ -136,22 +144,6 @@ func (s *WireStatsSnapshot) Add(o WireStatsSnapshot) {
 	s.BytesReceived += o.BytesReceived
 	s.Retries += o.Retries
 }
-
-// Delta returns the traffic accumulated since prev — the per-phase
-// attribution the observability spans use (snapshot before and after a
-// collective, attribute the difference).
-func (s WireStatsSnapshot) Delta(prev WireStatsSnapshot) WireStatsSnapshot {
-	return WireStatsSnapshot{
-		MessagesSent:     s.MessagesSent - prev.MessagesSent,
-		MessagesReceived: s.MessagesReceived - prev.MessagesReceived,
-		BytesSent:        s.BytesSent - prev.BytesSent,
-		BytesReceived:    s.BytesReceived - prev.BytesReceived,
-		Retries:          s.Retries - prev.Retries,
-	}
-}
-
-// TotalBytes returns bytes sent plus received.
-func (s WireStatsSnapshot) TotalBytes() int64 { return s.BytesSent + s.BytesReceived }
 
 // WriteFrame writes one length-prefixed frame. stats may be nil.
 func WriteFrame(w io.Writer, msgType uint8, payload []byte, stats *WireStats) error {
