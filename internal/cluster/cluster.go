@@ -39,7 +39,7 @@ func (p NetParams) MsgSec(bytes int64) float64 {
 }
 
 // Clock is a node's simulated clock. It is safe for concurrent use (a
-// node's poll server and miner advance it from different goroutines).
+// node's miner and its peers' polls advance it from different goroutines).
 // It counts whole picosecond ticks, so concurrent advances commute: the
 // same charges in any order give the identical reading, which float
 // seconds (rounded after every addition) would not.

@@ -74,8 +74,8 @@ func TestClockConcurrentAdvance(t *testing.T) {
 	}
 }
 
-// TestClockChargesCommute: a node's poll server and miner charge its
-// clock from different goroutines, so the reading must not depend on the
+// TestClockChargesCommute: a node's miner and its peers' polls charge
+// its clock from different goroutines, so the reading must not depend on the
 // order the charges land in — the same message and work charges, applied
 // forwards, backwards, and concurrently, give one identical reading.
 func TestClockChargesCommute(t *testing.T) {

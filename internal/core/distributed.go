@@ -11,8 +11,9 @@ import (
 
 // Exported seams for the multi-process runtime (internal/distmine).
 // A distributed node runs exactly the building blocks of MinePMIHP —
-// the same local miner, the same poll counting, the same F1 and merge
-// construction — with the in-process exchanges replaced by a transport.
+// the same local miner, the same global support counting (resolve.go),
+// the same F1 and merge construction — with the in-process exchanges
+// replaced by a transport.
 // Keeping these as shared functions is what makes the byte-identity
 // guarantee of the cluster runtime hold by construction rather than by
 // parallel maintenance.
@@ -57,49 +58,6 @@ func RunLocalMiner(db *txdb.DB, opts mining.Options, cfg LocalMineConfig, m *min
 		onPass:     cfg.OnPass,
 	}
 	lm.run()
-}
-
-// PollCounter answers peers' support-count polls from an inverted
-// posting file over the node's original (untrimmed) local database —
-// the same counting path MinePMIHP's poll servers use. The posting file
-// is built lazily at the first count, so nodes that are never polled
-// pay nothing. Not safe for concurrent use; the transport serializes
-// poll service.
-type PollCounter struct {
-	db        *txdb.DB
-	workers   int
-	threshold float64
-	inv       *postings
-}
-
-// NewPollCounter returns a counter over db using up to workers goroutines
-// for the one-time posting build and for batch counting. denseThreshold
-// selects the hybrid posting layout (see mining.Options.DenseThreshold).
-func NewPollCounter(db *txdb.DB, workers int, denseThreshold float64) *PollCounter {
-	return &PollCounter{db: db, workers: workers, threshold: denseThreshold}
-}
-
-// Count returns the exact local support of the itemset, charging the
-// intersection work (and the lazy build) to m.
-func (p *PollCounter) Count(set itemset.Itemset, m *mining.Metrics) int {
-	p.ensure(m)
-	return p.inv.count(set, m)
-}
-
-// CountBatch counts a whole poll batch, sharding the itemsets across the
-// counter's workers with per-shard scratch — the same kernel the in-process
-// poll servers run. Per-shard merge charges fold into m in shard order, so
-// results and simulated charges are identical to len(sets) Count calls.
-func (p *PollCounter) CountBatch(sets []itemset.Itemset, m *mining.Metrics) []int {
-	p.ensure(m)
-	return countBatchSharded(p.inv, sets, p.workers, m)
-}
-
-func (p *PollCounter) ensure(m *mining.Metrics) {
-	if p.inv == nil {
-		p.inv = buildPostings(p.db, m, p.workers, p.threshold)
-		m.NoteHeldBytes(p.inv.MemBytes())
-	}
 }
 
 // FrequentItems derives the globally frequent 1-itemsets from the

@@ -132,26 +132,6 @@ func (r *ParallelResult) AvgCandidates(k int) float64 {
 	return float64(sum) / float64(len(r.Nodes))
 }
 
-// pollRequest asks a peer for the local support counts of a batch of
-// same-size itemsets. pos carries the requester's batch positions so the
-// reply can be folded in without a lookup.
-type pollRequest struct {
-	from  int
-	k     int
-	sets  []itemset.Itemset
-	pos   []int
-	state *batchState
-}
-
-// batchState tracks one flushed batch at the requester until every expected
-// reply has arrived.
-type batchState struct {
-	node      *pmihpNode
-	sets      []itemset.Itemset
-	totals    []int
-	remaining int // outstanding replies
-}
-
 // pmihpNode is the per-node state of a parallel run.
 type pmihpNode struct {
 	id       int
@@ -162,29 +142,16 @@ type pmihpNode struct {
 	cfg      PMIHPConfig
 	fabric   *cluster.Fabric
 	global   *tht.Global
-	inboxes  []chan *pollRequest
+	peers    []*pmihpNode // every node of the run, indexed by id
 
-	miner   mining.Metrics // local-mining accounting
+	miner    mining.Metrics // local-mining accounting
+	lastWrk  int64          // clock-sync watermark for miner.Work
+	resolver *Resolver      // global support counting of the node's itemsets
+
+	// Poll service: mu serializes the peers' polls of this node.
+	mu      sync.Mutex
+	counter *PollCounter
 	server  mining.Metrics // poll-service accounting
-	lastWrk int64          // clock-sync watermark for miner.Work
-
-	// inverted is the node's posting file, built at the first poll it
-	// serves (see postings.go).
-	inverted *postings
-
-	// peersBuf is flush's reusable peer-selection scratch.
-	peersBuf []int
-
-	// queue of locally frequent itemsets awaiting global resolution.
-	queueSets   []itemset.Itemset
-	queueCounts []int
-
-	// found accumulates this node's globally frequent itemsets; guarded by
-	// mu because batch finalization runs on the answering servers.
-	mu    sync.Mutex
-	found []itemset.Counted
-
-	pending sync.WaitGroup // outstanding poll replies
 }
 
 // MinePMIHP runs the parallel MIHP algorithm over the database split
@@ -203,10 +170,7 @@ func MinePMIHP(db *txdb.DB, cfg PMIHPConfig, opts mining.Options) (*ParallelResu
 	globalMin := opts.MinCount(db.Len())
 	split := cfg.Split
 	if split == nil {
-		split = (*txdb.DB).SplitChronological
-		if opts.Partitioner == mining.PartitionByWork {
-			split = (*txdb.DB).SplitByWork
-		}
+		split = Splitter(opts.Partitioner)
 	}
 	parts := split(db, n)
 	if len(parts) != n {
@@ -225,10 +189,7 @@ func MinePMIHP(db *txdb.DB, cfg PMIHPConfig, opts mining.Options) (*ParallelResu
 	opts.IntraNodeWorkers = perNode
 
 	// ---- Phase 1: local pass 1 at every node (counts + local THTs). ----
-	entries := opts.THTEntries / n
-	if entries < 4 {
-		entries = 4
-	}
+	entries := NodeTHTEntries(opts.THTEntries, n)
 	locals := make([]*tht.Local, n)
 	nodeCounts := make([][]int, n)
 	var wg sync.WaitGroup
@@ -275,14 +236,10 @@ func MinePMIHP(db *txdb.DB, cfg PMIHPConfig, opts mining.Options) (*ParallelResu
 
 	partitions := Partition(f1, opts.PartitionSize)
 
-	// ---- Phase 2: asynchronous local mining with classification. ----
+	// ---- Phase 2: local mining with classification and polling. ----
 	nodes := make([]*pmihpNode, n)
-	inboxes := make([]chan *pollRequest, n)
-	for i := range inboxes {
-		inboxes[i] = make(chan *pollRequest, 64)
-	}
 	for i := 0; i < n; i++ {
-		nodes[i] = &pmihpNode{
+		nd := &pmihpNode{
 			id:       i,
 			db:       parts[i],
 			opts:     opts,
@@ -291,67 +248,56 @@ func MinePMIHP(db *txdb.DB, cfg PMIHPConfig, opts mining.Options) (*ParallelResu
 			cfg:      cfg,
 			fabric:   fabric,
 			global:   global,
-			inboxes:  inboxes,
+			peers:    nodes,
 			miner:    mining.NewMetrics("pmihp-miner"),
+			counter:  NewPollCounter(parts[i], perNode, opts.DenseThreshold),
 			server:   mining.NewMetrics("pmihp-server"),
 		}
+		nd.resolver = NewResolver(ResolverConfig{
+			Self:               i,
+			GlobalMin:          globalMin,
+			ApproxDirectCounts: cfg.ApproxDirectCounts,
+			Global:             global,
+			Metrics:            &nd.miner,
+			Poll:               nd.poll,
+		})
+		nodes[i] = nd
 	}
 
-	// Poll servers: one per node, answering until all miners are done.
-	var serverWG sync.WaitGroup
-	for i := 0; i < n; i++ {
-		serverWG.Add(1)
-		go func(nd *pmihpNode) {
-			defer serverWG.Done()
-			nd.servePolls()
-		}(nodes[i])
-	}
-
-	// Miners.
-	var mineWG sync.WaitGroup
-	var mineDone sync.WaitGroup
-	mineDone.Add(n)
+	var mined, polled sync.WaitGroup
+	mined.Add(n)
+	polled.Add(n)
 	startPolling := make(chan struct{})
 	if cfg.Mode == Interleaved {
 		close(startPolling) // no gate
 	}
-	for i := 0; i < n; i++ {
-		mineWG.Add(1)
+	for _, nd := range nodes {
 		go func(nd *pmihpNode) {
-			defer mineWG.Done()
+			defer polled.Done()
 			nd.mine(f1, partitions)
-			mineDone.Done()
-			if cfg.Mode == Deferred {
-				<-startPolling
-			}
-			nd.flush(0) // flush any remainder
-			nd.pending.Wait()
+			mined.Done()
+			<-startPolling
+			nd.resolver.Flush(0) // the remainder; simulated polls cannot fail
 			nd.syncClock()
-		}(nodes[i])
+		}(nd)
 	}
-
 	if cfg.Mode == Deferred {
 		// Synchronize the nodes, stamp the phase start, then release the
 		// polling phase — the paper's measurement methodology for Figure 8.
-		mineDone.Wait()
+		mined.Wait()
 		t0 := fabric.Barrier()
 		close(startPolling)
-		mineWG.Wait()
+		polled.Wait()
 		out.GlobalCountSeconds = fabric.Barrier() - t0
 	} else {
-		mineWG.Wait()
+		polled.Wait()
 	}
-
-	for i := range inboxes {
-		close(inboxes[i])
-	}
-	serverWG.Wait()
 
 	// ---- Final exchange: globally frequent itemset lists (all-gather). ----
 	maxListBytes := int64(0)
 	for _, nd := range nodes {
 		b := int64(0)
-		for _, c := range nd.found {
+		for _, c := range nd.resolver.Found() {
 			b += int64(4*len(c.Set) + 8)
 		}
 		if b > maxListBytes {
@@ -366,7 +312,7 @@ func MinePMIHP(db *txdb.DB, cfg PMIHPConfig, opts mining.Options) (*ParallelResu
 	// ---- Merge (shared with the multi-process runtime). ----
 	var all []itemset.Counted
 	for _, nd := range nodes {
-		all = append(all, nd.found...)
+		all = append(all, nd.resolver.Found()...)
 	}
 	res := &mining.Result{Metrics: mining.NewMetrics("pmihp")}
 	res.Frequent = MergeFound(f1Counted, all)
@@ -420,8 +366,11 @@ func MinePMIHP(db *txdb.DB, cfg PMIHPConfig, opts mining.Options) (*ParallelResu
 	return out, nil
 }
 
-// mine runs the node's local MIHP passes, classifying each locally frequent
-// itemset as it is emitted.
+// mine runs the node's local MIHP passes, handing each locally frequent
+// itemset to the resolver. In interleaved mode the resolver flushes after
+// every counting pass once GlobalCandidateBatch itemsets are queued (the
+// paper polls "when certain number of global candidate itemsets are
+// accumulated").
 func (nd *pmihpNode) mine(f1 []itemset.Item, partitions [][]itemset.Item) {
 	lm := &localMiner{
 		db:         nd.db,
@@ -433,40 +382,16 @@ func (nd *pmihpNode) mine(f1 []itemset.Item, partitions [][]itemset.Item) {
 		freqItems:  f1,
 		partitions: partitions,
 		metrics:    &nd.miner,
-		emit:       nd.classify,
-		onPass:     nd.afterPass,
+		emit:       nd.resolver.Emit,
+	}
+	if nd.cfg.Mode == Interleaved {
+		lm.onPass = func() { nd.resolver.Flush(nd.opts.GlobalCandidateBatch) }
 	}
 	if nd.cfg.Tally != nil {
 		lm.notePair = func(key uint64) { nd.cfg.Tally.note(nd.id, key) }
 	}
 	lm.run()
 	nd.syncClock()
-}
-
-// classify implements section 2.4 step 5 for one locally frequent itemset.
-func (nd *pmihpNode) classify(set itemset.Itemset, count int) {
-	if count >= nd.glMin {
-		// Directly globally frequent. In exact mode it still goes through
-		// polling so the recorded support is the true global count.
-		if nd.cfg.ApproxDirectCounts {
-			nd.record(set, count)
-			return
-		}
-	} else {
-		nd.miner.GlobalCandidates++
-	}
-	nd.queueSets = append(nd.queueSets, set)
-	nd.queueCounts = append(nd.queueCounts, count)
-}
-
-// afterPass runs between counting passes: it folds new work into the node
-// clock and, in interleaved mode, flushes full batches (the paper flushes
-// "when certain number of global candidate itemsets are accumulated").
-func (nd *pmihpNode) afterPass() {
-	nd.syncClock()
-	if nd.cfg.Mode == Interleaved {
-		nd.flush(nd.opts.GlobalCandidateBatch)
-	}
 }
 
 // syncClock advances the node clock by the miner work accumulated since the
@@ -479,161 +404,26 @@ func (nd *pmihpNode) syncClock() {
 	}
 }
 
-// flush sends poll requests for the queued itemsets once the queue reaches
-// threshold (0 forces a flush). Peers are selected per itemset from the
-// cascaded THT segments: "only the processing nodes that have a positive
-// TID hash count for the global candidate itemset will be polled."
-func (nd *pmihpNode) flush(threshold int) {
-	if len(nd.queueSets) == 0 || len(nd.queueSets) < threshold {
-		return
+// poll is the node's PollFunc: one synchronous request to a peer. The
+// request and the reply are charged as point-to-point messages, and the
+// peer counts the sets on its own clock under its lock. Clocks count
+// integer ticks, so these charges reach the same totals in any
+// interleaving with the peer's own mining.
+func (nd *pmihpNode) poll(g PollGroup) error {
+	nd.fabric.ChargeSend(nd.id, g.Peer, int64(16+4*g.K*g.Len()))
+	sets := g.Sets(0, g.Len())
+	p := nd.peers[g.Peer]
+	p.mu.Lock()
+	before := p.server.Work.Units
+	counts := p.counter.Serve(g.Peer, g.K, sets, &p.server, p.opts.Obs)
+	if p.cfg.Tally != nil {
+		p.cfg.Tally.noteBatch(g.Peer, g.K, sets)
 	}
-	sets := nd.queueSets
-	counts := nd.queueCounts
-	nd.queueSets, nd.queueCounts = nil, nil
-
-	state := &batchState{node: nd, sets: sets, totals: counts}
-
-	// Group positions by (peer, k).
-	type peerK struct {
-		peer, k int
+	nd.fabric.Clock(g.Peer).AdvanceWork(p.server.Work.Units - before)
+	p.mu.Unlock()
+	nd.fabric.ChargeSend(g.Peer, nd.id, int64(4*len(counts)+16))
+	for i, c := range counts {
+		g.Add(i, c)
 	}
-	groups := make(map[peerK][]int)
-	slotsTotal := int64(0)
-	for pos, set := range sets {
-		peers, slots := nd.global.PollPeers(set, nd.id, nd.peersBuf)
-		nd.peersBuf = peers
-		slotsTotal += int64(slots)
-		for _, p := range peers {
-			groups[peerK{p, len(set)}] = append(groups[peerK{p, len(set)}], pos)
-		}
-	}
-	nd.miner.Work.Charge(slotsTotal, mining.CostTHTSlot)
-	nd.syncClock()
-
-	if len(groups) == 0 {
-		nd.finalizeBatch(state)
-		return
-	}
-	state.remaining = len(groups)
-	nd.pending.Add(len(groups))
-	nd.miner.PollRounds++
-	for gk, positions := range groups {
-		req := &pollRequest{from: nd.id, k: gk.k, pos: positions, state: state}
-		req.sets = make([]itemset.Itemset, len(positions))
-		bytes := int64(16)
-		for i, pos := range positions {
-			req.sets[i] = sets[pos]
-			bytes += int64(4 * gk.k)
-		}
-		nd.miner.MessagesSent++
-		nd.fabric.ChargeSend(nd.id, gk.peer, bytes)
-		nd.inboxes[gk.peer] <- req
-	}
-}
-
-// servePolls answers peers' poll requests against the node's original local
-// database (trimmed working copies are never consulted, so answers are
-// exact; the efficiency cost of serving polls is charged to this node's
-// clock, reflecting the paper's trade-off between polling and trimming).
-func (nd *pmihpNode) servePolls() {
-	for req := range nd.inboxes[nd.id] {
-		counts := nd.countBatch(req.k, req.sets)
-		replyBytes := int64(4*len(counts) + 16)
-		nd.fabric.ChargeSend(nd.id, req.from, replyBytes)
-		nd.applyReply(req, counts)
-	}
-}
-
-// countBatch counts the batch's itemsets over the local database by
-// intersecting posting lists (see postings.go), sharding the batch across
-// the node's intra-node workers. Each itemset's count and merge charge are
-// independent of the others, so per-shard work units merged in shard order
-// reproduce the serial charges exactly.
-func (nd *pmihpNode) countBatch(k int, sets []itemset.Itemset) []int {
-	m := &nd.server
-	m.AddCandidates(k, len(sets))
-	if r := nd.opts.Obs; r.Enabled() {
-		r.Poll(obs.PollEvent{Node: nd.id, K: k, Sets: len(sets)})
-	}
-	if nd.cfg.Tally != nil {
-		nd.cfg.Tally.noteBatch(nd.id, k, sets)
-	}
-	before := m.Work.Units
-	if nd.inverted == nil {
-		// Single goroutine (the node's poll server) calls countBatch, so
-		// lazy construction needs no further synchronization.
-		nd.inverted = buildPostings(nd.db, m, nd.opts.Workers(), nd.opts.DenseThreshold)
-		// The miner accounting already holds the node's database, THT
-		// segment, and working copy; the inverted file is the poll server's
-		// addition on top.
-		m.NoteHeldBytes(nd.inverted.MemBytes())
-	}
-	counts := countBatchSharded(nd.inverted, sets, nd.opts.Workers(), m)
-	nd.fabric.Clock(nd.id).AdvanceWork(m.Work.Units - before)
-	return counts
-}
-
-// countBatchSharded intersects a batch of itemsets against the inverted
-// file on the chunk-queue scheduler, each worker with private scratch.
-// Each itemset's count and merge charge are independent of the others and
-// land in its own slot, and per-worker charge tallies accumulate across
-// claimed chunks and merge as sums, so the serial charges are reproduced
-// exactly at any worker count.
-func countBatchSharded(inv *postings, sets []itemset.Itemset, workers int, m *mining.Metrics) []int {
-	counts := make([]int, len(sets))
-	nShards := mining.NumShards(len(sets), workers)
-	inv.ensureScratch(nShards)
-	shardOps := make([]int64, nShards)
-	mining.RunShards(len(sets), workers, func(s, lo, hi int) {
-		sc := inv.scratchFor(s)
-		var ops int64
-		for i := lo; i < hi; i++ {
-			n, o := inv.countScratch(sets[i], sc)
-			counts[i] = n
-			ops += o
-		}
-		shardOps[s] += ops
-	})
-	for _, ops := range shardOps {
-		m.Work.Charge(ops, 1)
-	}
-	return counts
-}
-
-// applyReply folds a peer's counts into the batch and finalizes it when the
-// last reply arrives. It runs on the answering node's server goroutine; the
-// batch state is owned by the requester and guarded by its mutex.
-func (nd *pmihpNode) applyReply(req *pollRequest, counts []int) {
-	st := req.state
-	owner := st.node
-	owner.mu.Lock()
-	for i, pos := range req.pos {
-		st.totals[pos] += counts[i]
-	}
-	st.remaining--
-	done := st.remaining == 0
-	owner.mu.Unlock()
-	if done {
-		owner.finalizeBatch(st)
-	}
-	owner.pending.Done()
-}
-
-// finalizeBatch records the batch's itemsets whose exact global support
-// reaches the global minimum.
-func (nd *pmihpNode) finalizeBatch(st *batchState) {
-	nd.mu.Lock()
-	for i, set := range st.sets {
-		if st.totals[i] >= nd.glMin {
-			nd.found = append(nd.found, itemset.Counted{Set: set, Count: st.totals[i]})
-		}
-	}
-	nd.mu.Unlock()
-}
-
-// record adds a globally frequent itemset found without polling.
-func (nd *pmihpNode) record(set itemset.Itemset, count int) {
-	nd.mu.Lock()
-	nd.found = append(nd.found, itemset.Counted{Set: set, Count: count})
-	nd.mu.Unlock()
+	return nil
 }

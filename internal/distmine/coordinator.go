@@ -14,6 +14,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"pmihp/internal/core"
 	"pmihp/internal/mining"
 	"pmihp/internal/obs"
 	"pmihp/internal/transport"
@@ -160,7 +161,7 @@ func MineCluster(db *txdb.DB, cfg ClusterConfig, opts mining.Options) (*Result, 
 	}
 	cfg.Retry = cfg.Retry.WithDefaults()
 	p, opts := params(db, opts)
-	parts := splitParts(db, n, p.Partitioner)
+	parts := core.Splitter(p.Partitioner)(db, n)
 
 	// Encode every partition once; recovery attempts re-ship the same
 	// bytes, which is what keeps reassignment byte-identical: the
@@ -384,7 +385,7 @@ func (s *session) applyResize(addrs []string) error {
 	// session comes out of the barrier balanced, not re-skewed across more
 	// nodes. Placement never changes the frequent itemsets, so this is
 	// invisible in the results.
-	parts := splitParts(s.db, n, mining.PartitionByWork)
+	parts := core.Splitter(mining.PartitionByWork)(s.db, n)
 	partBytes := make([][]byte, n)
 	for i := 0; i < n; i++ {
 		var buf bytes.Buffer

@@ -76,19 +76,6 @@ func params(db *txdb.DB, opts mining.Options) (NodeParams, mining.Options) {
 	}, opts
 }
 
-// splitParts cuts the database into n logical partitions under the
-// selected partitioner — the coordinator-side twin of core.MinePMIHP's
-// split hook. Both cut along chronological order; they differ only in
-// where the cuts fall (equal document counts vs equal estimated work),
-// so either way every partition is a contiguous chronological range and
-// their union is db.
-func splitParts(db *txdb.DB, n int, p mining.Partitioner) []*txdb.DB {
-	if p == mining.PartitionByWork {
-		return db.SplitByWork(n)
-	}
-	return db.SplitChronological(n)
-}
-
 // assemble folds the nodes' terminal reports into the cluster result:
 // every node's globally frequent itemsets merged with F1 (from node 0's
 // global item counts), per-node stats, and cluster-wide wire totals. The
@@ -140,7 +127,7 @@ func MineInProcess(db *txdb.DB, n int, opts mining.Options) (*Result, error) {
 		return nil, fmt.Errorf("distmine: need at least one node, got %d", n)
 	}
 	p, opts := params(db, opts)
-	parts := splitParts(db, n, p.Partitioner)
+	parts := core.Splitter(p.Partitioner)(db, n)
 	exchanges := transport.NewChanGroup(n)
 
 	outcomes := make([]*nodeOutcome, n)

@@ -9,9 +9,10 @@
 // exchange. The paper's final all-gather of the frequent lists becomes a
 // barrier: every node reports its globally frequent itemsets once, and
 // the coordinator (or MineInProcess) merges them; the simulator still
-// models the paper's exchange. Global counting runs deferred: every
-// locally frequent itemset is queued during mining and resolved by peer
-// polls afterwards. In exact mode that ordering is invisible in the
+// models the paper's exchange. Global counting runs the simulator's
+// resolver (core.Resolver) with the exchange's polls behind it, deferred:
+// every locally frequent itemset is queued during mining and resolved by
+// one flush afterwards. In exact mode that ordering is invisible in the
 // output — polls have no feedback into local mining, exact counts sum
 // identically in any order, and the merge is a deterministic sort — which
 // is why the distributed runtime produces frequent itemsets byte-identical
@@ -152,11 +153,7 @@ func runNode(x transport.Exchange, db *txdb.DB, p NodeParams, h nodeHooks) (*nod
 	var local *tht.Local
 	var counts []int
 	if stage < transport.StageTHT {
-		entries := p.THTEntries / n
-		if entries < 4 {
-			entries = 4
-		}
-		local, counts = tht.BuildLocalShards(db, entries, workers)
+		local, counts = tht.BuildLocalShards(db, core.NodeTHTEntries(p.THTEntries, n), workers)
 	}
 
 	// ---- Exchange: global item counts. The paper's all-reduce is
@@ -210,13 +207,8 @@ func runNode(x transport.Exchange, db *txdb.DB, p NodeParams, h nodeHooks) (*nod
 	// guarantees this handler exists before the first request arrives.
 	// The exchange serializes handler calls. ----
 	pc := core.NewPollCounter(db, workers, opts.DenseThreshold)
-	server := &out.Server
 	x.SetPollHandler(func(k int, sets []itemset.Itemset) []int32 {
-		server.AddCandidates(k, len(sets))
-		if rec.Enabled() {
-			rec.Poll(obs.PollEvent{Node: self, K: k, Sets: len(sets)})
-		}
-		counts := pc.CountBatch(sets, server)
+		counts := pc.Serve(self, k, sets, &out.Server, rec)
 		replies := make([]int32, len(sets))
 		for i, c := range counts {
 			replies[i] = int32(c)
@@ -280,38 +272,34 @@ func runNode(x transport.Exchange, db *txdb.DB, p NodeParams, h nodeHooks) (*nod
 		rec.SetNodeGauge("tht_cascade_bytes", self, global.MemBytes())
 	}
 
-	// ---- Local mining, queueing every locally frequent itemset. ----
-	partitions := core.Partition(f1, opts.PartitionSize)
-	localMin := core.LocalMinCount(p.GlobalMin, db.Len(), p.TotalDocs)
-	var queueSets []itemset.Itemset
-	var queueCounts []int
+	// ---- Local mining, queueing every locally frequent itemset, then
+	// global support counting by peer polling. ----
+	res := core.NewResolver(core.ResolverConfig{
+		Self:      self,
+		GlobalMin: p.GlobalMin,
+		Global:    global,
+		Metrics:   &out.Miner,
+		Poll:      chunkedPoll(x.Poll, opts.GlobalCandidateBatch, &out.Miner),
+	})
 	core.RunLocalMiner(db, opts, core.LocalMineConfig{
 		Self:        self,
-		LocalMin:    localMin,
+		LocalMin:    core.LocalMinCount(p.GlobalMin, db.Len(), p.TotalDocs),
 		GlobalPrune: p.GlobalMin,
 		Global:      global,
 		FreqItems:   f1,
-		Partitions:  partitions,
-		Emit: func(set itemset.Itemset, count int) {
-			if count < p.GlobalMin {
-				out.Miner.GlobalCandidates++
-			}
-			queueSets = append(queueSets, set)
-			queueCounts = append(queueCounts, count)
-		},
-		OnPass: h.onPass,
+		Partitions:  core.Partition(f1, opts.PartitionSize),
+		Emit:        res.Emit,
+		OnPass:      h.onPass,
 	}, &out.Miner)
-
-	// ---- Global support counting by peer polling. ----
 	pollMark := wireMark()
 	t2 := time.Now()
-	found, err := resolveGlobal(x, global, queueSets, queueCounts, p.GlobalMin, opts.GlobalCandidateBatch, &out.Miner)
+	err := res.Flush(0)
 	out.PhaseSeconds[2] = time.Since(t2).Seconds()
 	span("poll:resolve", out.PhaseSeconds[2], pollMark, err)
 	if err != nil {
 		return nil, err
 	}
-	out.Found = found
+	out.Found = res.Found()
 
 	// ---- Final collective: a barrier. Exiting it proves every peer has
 	// finished polling, so the poll service can be torn down safely. The
@@ -358,56 +346,22 @@ func u32Counts(globalCounts []int) []uint32 {
 	return v
 }
 
-// resolveGlobal polls peers for the queued itemsets' remote support
-// counts and returns those whose exact global support reaches the
-// global minimum. Peers are selected per itemset from the cascaded THT
-// ("only the processing nodes that have a positive TID hash count will
-// be polled"); requests to one peer are batched by itemset size, split
-// into chunks of at most batch sets to bound frame sizes.
-func resolveGlobal(x transport.Exchange, global *tht.Global, sets []itemset.Itemset, totals []int, globalMin, batch int, m *mining.Metrics) ([]itemset.Counted, error) {
-	type peerK struct{ peer, k int }
-	groups := make(map[peerK][]int)
-	var peersBuf []int
-	slotsTotal := int64(0)
-	for pos, set := range sets {
-		peers, slots := global.PollPeers(set, x.NodeID(), peersBuf)
-		peersBuf = peers
-		slotsTotal += int64(slots)
-		for _, p := range peers {
-			gk := peerK{p, len(set)}
-			groups[gk] = append(groups[gk], pos)
-		}
-	}
-	m.Work.Charge(slotsTotal, mining.CostTHTSlot)
-	if len(groups) > 0 {
-		m.PollRounds++
-	}
-	for gk, positions := range groups {
-		for lo := 0; lo < len(positions); lo += batch {
-			hi := lo + batch
-			if hi > len(positions) {
-				hi = len(positions)
-			}
-			chunk := positions[lo:hi]
-			req := make([]itemset.Itemset, len(chunk))
-			for i, pos := range chunk {
-				req[i] = sets[pos]
-			}
+// chunkedPoll is the runtime's core.PollFunc over poll (the exchange's
+// Poll): it sends a group in chunks of at most batch sets, which bounds
+// frame sizes and the request memory, and counts one message per chunk.
+// The simulator never chunks, so its message counts stay the model's.
+func chunkedPoll(poll func(peer, k int, sets []itemset.Itemset) ([]int32, error), batch int, m *mining.Metrics) core.PollFunc {
+	return func(g core.PollGroup) error {
+		for lo := 0; lo < g.Len(); lo += batch {
 			m.MessagesSent++
-			counts, err := x.Poll(gk.peer, gk.k, req)
+			counts, err := poll(g.Peer, g.K, g.Sets(lo, min(lo+batch, g.Len())))
 			if err != nil {
-				return nil, fmt.Errorf("global counting: %w", err)
+				return fmt.Errorf("global counting: %w", err)
 			}
-			for i, pos := range chunk {
-				totals[pos] += int(counts[i])
+			for i, c := range counts {
+				g.Add(lo+i, int(c))
 			}
 		}
+		return nil
 	}
-	var found []itemset.Counted
-	for i, set := range sets {
-		if totals[i] >= globalMin {
-			found = append(found, itemset.Counted{Set: set, Count: totals[i]})
-		}
-	}
-	return found, nil
 }

@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"pmihp/internal/cluster"
+	"pmihp/internal/core"
 	"pmihp/internal/corpus"
 	"pmihp/internal/tht"
 )
@@ -38,10 +39,7 @@ func RunA10(p Params) (fmt.Stringer, error) {
 		parts := b.db.SplitChronological(n)
 		globalMin := 2
 		counts := b.db.ItemCounts()
-		entries := 400 / n
-		if entries < 4 {
-			entries = 4
-		}
+		entries := core.NodeTHTEntries(400, n)
 		maxBytes := int64(0)
 		for _, part := range parts {
 			local, _ := tht.BuildLocal(part, entries)

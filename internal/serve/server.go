@@ -283,7 +283,7 @@ func (s *Server) Handler(rec *obs.Recorder) http.Handler {
 	mux.HandleFunc("/expand", func(w http.ResponseWriter, r *http.Request) { s.serveExpand(w, r) })
 	mux.HandleFunc("/rules", func(w http.ResponseWriter, r *http.Request) { s.serveRules(w, r) })
 	mux.HandleFunc("/healthz", func(w http.ResponseWriter, r *http.Request) { s.serveHealthz(w, r) })
-	mux.HandleFunc("/admin/swap", func(w http.ResponseWriter, r *http.Request) { s.serveSwap(w, r) })
+	mux.HandleFunc("/admin/swap", func(w http.ResponseWriter, r *http.Request) { s.serveSwap(w, r, maxSwapBody) })
 	mux.HandleFunc("/admin/heads", func(w http.ResponseWriter, r *http.Request) { s.serveHeads(w, r) })
 	if rec.Enabled() {
 		obsHandler := rec.Handler()
@@ -476,10 +476,16 @@ type swapBody struct {
 	Stats      Stats `json:"stats"`
 }
 
+// maxSwapBody bounds a rule set POSTed to /admin/swap, at the wire
+// codec's frame bound (transport.MaxFrame). The largest generation the
+// stream benchmark publishes, 116,511 rules, is far below it.
+const maxSwapBody = 1 << 28
+
 // serveSwap answers POST /admin/swap?path=/abs/rules.json (load a file
 // from the server's filesystem) or POST /admin/swap with a WriteJSON
-// rule array as the request body.
-func (s *Server) serveSwap(w http.ResponseWriter, r *http.Request) {
+// rule array as the request body of at most limit bytes. A larger body
+// is refused with 413 and leaves the serving generation as it was.
+func (s *Server) serveSwap(w http.ResponseWriter, r *http.Request, limit int64) {
 	if r.Method != http.MethodPost {
 		writeJSON(w, http.StatusMethodNotAllowed, errorBody{Error: "POST required"})
 		return
@@ -490,9 +496,19 @@ func (s *Server) serveSwap(w http.ResponseWriter, r *http.Request) {
 		g, err = s.SwapFromFile(path)
 	} else {
 		var ws []rules.WordRule
-		if ws, err = rules.ParseJSON(r.Body); err == nil {
+		if r.ContentLength > limit {
+			err = &http.MaxBytesError{Limit: limit}
+		} else {
+			ws, err = rules.ParseJSON(http.MaxBytesReader(w, r.Body, limit))
+		}
+		if err == nil {
 			g, err = s.Swap(ws, "POST /admin/swap")
 		}
+	}
+	if tooBig := (*http.MaxBytesError)(nil); errors.As(err, &tooBig) {
+		writeJSON(w, http.StatusRequestEntityTooLarge,
+			errorBody{Error: fmt.Sprintf("serve: POST /admin/swap body exceeds %d bytes", limit)})
+		return
 	}
 	if err != nil {
 		writeJSON(w, http.StatusUnprocessableEntity, errorBody{Error: err.Error()})

@@ -296,3 +296,65 @@ func TestLRUCacheAndFlight(t *testing.T) {
 		t.Fatal("nil cache hit")
 	}
 }
+
+// TestAdminSwapBodyBounded: a rule set larger than the swap bound is
+// refused with 413 and an attributed error, whether its Content-Length
+// announces the size or the body only runs past the bound while being
+// read, and the serving generation stays the one before the request.
+func TestAdminSwapBodyBounded(t *testing.T) {
+	fx := fixture(t)
+	s := loadedServer(t, Config{Replicas: 1})
+	h := s.Handler(nil)
+	generation := func() int64 {
+		var hb healthBody
+		if err := json.Unmarshal(get(h, "/healthz").Body.Bytes(), &hb); err != nil {
+			t.Fatal(err)
+		}
+		return hb.Generation
+	}
+	refused := func(rr *httptest.ResponseRecorder, limit int64) {
+		t.Helper()
+		if rr.Code != http.StatusRequestEntityTooLarge {
+			t.Fatalf("oversized swap = %d: %s", rr.Code, rr.Body.String())
+		}
+		var eb errorBody
+		if err := json.Unmarshal(rr.Body.Bytes(), &eb); err != nil {
+			t.Fatal(err)
+		}
+		if want := fmt.Sprintf("serve: POST /admin/swap body exceeds %d bytes", limit); eb.Error != want {
+			t.Fatalf("error %q, want %q", eb.Error, want)
+		}
+		if g := generation(); g != 1 {
+			t.Fatalf("refused swap moved the serving generation to %d", g)
+		}
+	}
+	var buf bytes.Buffer
+	if err := rules.WriteJSON(&buf, fx.rs, fx.vocab.Word); err != nil {
+		t.Fatal(err)
+	}
+	body := buf.Bytes()
+
+	// Announced: refused before a byte of the body is read.
+	req := httptest.NewRequest(http.MethodPost, "/admin/swap", bytes.NewReader(body))
+	req.ContentLength = maxSwapBody + 1
+	rr := httptest.NewRecorder()
+	h.ServeHTTP(rr, req)
+	refused(rr, maxSwapBody)
+
+	// Unannounced (chunked): the read stops at the bound. The bound is
+	// lowered so the test does not stream 256 MiB.
+	limit := int64(len(body) / 2)
+	req = httptest.NewRequest(http.MethodPost, "/admin/swap", bytes.NewReader(body))
+	req.ContentLength = -1
+	rr = httptest.NewRecorder()
+	s.serveSwap(rr, req, limit)
+	refused(rr, limit)
+
+	// The same body within the bound swaps.
+	if rr := post(h, "/admin/swap", bytes.NewReader(body)); rr.Code != http.StatusOK {
+		t.Fatalf("swap = %d: %s", rr.Code, rr.Body.String())
+	}
+	if g := generation(); g != 2 {
+		t.Fatalf("generation %d after an accepted swap, want 2", g)
+	}
+}
